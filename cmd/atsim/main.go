@@ -18,17 +18,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/cachesim"
-	"repro/internal/experiments"
 	"repro/internal/fsatomic"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -36,9 +32,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/platform/faulty"
 	"repro/internal/platform/replay"
-	"repro/internal/platform/sim"
 	"repro/internal/rt"
-	"repro/internal/snapshot"
+	"repro/internal/runspec"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -85,23 +80,7 @@ func main() {
 
 	// Validate every input before doing any work, so a typo fails fast
 	// with usage instead of surfacing deep inside a run.
-	if _, err := workloads.SchedAppByName(*app); err != nil {
-		usageError(err)
-	}
-	if _, err := model.SchemeFor(*policy); err != nil {
-		usageError(err)
-	}
-	topo, err := cachesim.ParseTopology(*topology)
-	if err != nil {
-		usageError(err)
-	}
-	if err := machineConfig(*cpus, topo).Validate(); err != nil {
-		usageError(err)
-	}
-	if *scale <= 0 {
-		usageError(fmt.Errorf("scale %v must be positive", *scale))
-	}
-	faultCfg, err := faulty.ParseSpec(*faults)
+	spec, err := flagSpec(*app, *policy, *cpus, *topology, *scale, *seed, *noAnnot, *faults)
 	if err != nil {
 		usageError(err)
 	}
@@ -124,7 +103,6 @@ func main() {
 	if (*ckptPath != "" || *stallTimeout != 0) && (*record != "" || *timeline > 0 || *verbose) {
 		usageError(fmt.Errorf("-checkpoint/-stall-timeout only apply to the default and -faults run modes"))
 	}
-	crash := crashConfig{every: *ckptEvery, path: *ckptPath, resume: *resume, stallTimeout: *stallTimeout, topology: topo}
 	session := obs.NewSession(level, 0)
 	if *debugAddr != "" {
 		bound, err := session.StartDebugServer(*debugAddr)
@@ -134,18 +112,31 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "atsim: debug endpoints on http://%s/debug/pprof (metrics at /metrics)\n", bound)
 	}
+	// The crash-safety options stay zero outside the default and
+	// -faults modes (checked above).
+	opts := rt.Options{
+		Obs:          session.Observer(spec.Key(), spec.CPUs),
+		Checkpoint:   rt.CheckpointConfig{Every: *ckptEvery, Path: *ckptPath},
+		StallTimeout: *stallTimeout,
+	}
+	if *resume {
+		if opts.Checkpoint.Resume, err = runspec.LoadResume(*ckptPath); err != nil {
+			fmt.Fprintln(os.Stderr, "atsim:", err)
+			os.Exit(1)
+		}
+	}
 
 	switch {
-	case faultCfg.Enabled() || *health:
-		err = runFaults(*app, *policy, *cpus, topo, *scale, *seed, *noAnnot, faultCfg, session, crash)
+	case spec.Faults.Enabled() || *health:
+		err = runFaults(spec, opts)
 	case *record != "":
-		err = runRecord(*record, *app, *policy, *cpus, topo, *scale, *seed, *noAnnot, session)
+		err = runRecord(*record, spec, opts)
 	case *timeline > 0:
-		err = runTimeline(*app, *policy, *cpus, topo, *scale, *seed, *timeline, session)
+		err = runTimeline(spec, *timeline, opts)
 	case *verbose:
-		err = runVerbose(*app, *policy, *cpus, topo, *scale, *seed, *noAnnot, session)
+		err = runVerbose(spec, opts)
 	default:
-		err = runDefault(*app, *policy, *cpus, topo, *scale, *seed, *noAnnot, session, crash)
+		err = runDefault(spec, opts)
 	}
 	if err == nil {
 		err = exportObs(session, *traceOut, *metricsOut)
@@ -156,15 +147,20 @@ func main() {
 	}
 }
 
-// cellKey names the single observer cell of a direct atsim run; faults
-// runs get a suffix so a fault-injected trace is never confused with a
-// clean one.
-func cellKey(app, policy string, cpus int, faulted bool) string {
-	key := fmt.Sprintf("%s/%s/%dcpu", app, policy, cpus)
-	if faulted {
-		key += "/faults"
+// flagSpec turns the run-describing flags into the run's spec,
+// validated.
+func flagSpec(app, policy string, cpus int, topology string, scale float64, seed uint64, noAnnot bool, faults string) (runspec.Spec, error) {
+	topo, err := cachesim.ParseTopology(topology)
+	if err != nil {
+		return runspec.Spec{}, err
 	}
-	return key
+	faultCfg, err := faulty.ParseSpec(faults)
+	if err != nil {
+		return runspec.Spec{}, err
+	}
+	spec := runspec.Spec{App: app, Policy: policy, CPUs: cpus, Topology: topo, Scale: scale, Seed: seed,
+		NoAnnotations: noAnnot, Faults: faultCfg}
+	return spec, spec.Validate()
 }
 
 // exportObs writes the requested trace and metrics files after any run
@@ -185,72 +181,23 @@ func exportObs(session *obs.Session, traceOut, metricsOut string) error {
 	return nil
 }
 
-// crashConfig bundles the crash-safety flags shared by the run modes
-// that support them.
-type crashConfig struct {
-	every        uint64
-	path         string
-	resume       bool
-	stallTimeout time.Duration
-	topology     cachesim.Topology
-}
-
-// checkpoint builds the engine-level checkpoint configuration for the
-// direct-engine modes: the config record mirrors the experiment
-// driver's (app, scale, ablations) plus the fault spec, so a faulted
-// snapshot can never resume a clean run or vice versa.
-func (c crashConfig) checkpoint(appName string, scale float64, noAnnot bool, faultCfg faulty.Config) (rt.CheckpointConfig, error) {
-	cfg := rt.CheckpointConfig{
-		Every: c.every,
-		Path:  c.path,
-		Config: []snapshot.KV{
-			{K: "app", V: appName},
-			{K: "scale", V: strconv.FormatFloat(scale, 'g', -1, 64)},
-			{K: "noannot", V: strconv.FormatBool(noAnnot)},
-			{K: "faults", V: faultCfg.String()},
-			{K: "topology", V: c.topology.String()},
-		},
-	}
-	if c.resume {
-		st, err := snapshot.LoadFile(c.path)
-		switch {
-		case err == nil:
-			cfg.Resume = st
-		case errors.Is(err, os.ErrNotExist):
-			// No snapshot yet: start fresh, as a restarted soak loop does.
-		default:
-			return rt.CheckpointConfig{}, err
-		}
-	}
-	return cfg, nil
-}
-
 // runDefault is the plain counters-only run behind the flagless
 // invocation.
-func runDefault(appName, policy string, cpus int, topo cachesim.Topology, scale float64, seed uint64, noAnnot bool, session *obs.Session, crash crashConfig) error {
-	run, err := experiments.RunSched(appName, policy, experiments.SchedConfig{
-		CPUs:               cpus,
-		Topology:           topo.String(),
-		Scale:              scale,
-		Seed:               seed,
-		DisableAnnotations: noAnnot,
-		Obs:                session,
-		CheckpointEvery:    crash.every,
-		CheckpointPath:     crash.path,
-		Resume:             crash.resume,
-		StallTimeout:       crash.stallTimeout,
-	})
+func runDefault(spec runspec.Spec, opts rt.Options) error {
+	m, e, err := spec.Run(context.Background(), opts, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s under %s on %d cpu(s), scale %.2f:\n", run.App, run.Policy, run.CPUs, scale)
-	fmt.Printf("  E-cache refs       %12d\n", run.ERefs)
-	fmt.Printf("  E-cache misses     %12d (%.2f%% miss ratio)\n", run.EMisses, 100*run.MissRatio())
-	fmt.Printf("  cycles             %12d\n", run.Cycles)
-	fmt.Printf("  instructions       %12d\n", run.Instrs)
-	fmt.Printf("  context switches   %12d\n", run.Dispatch)
-	fmt.Printf("  heap operations    %12d\n", run.HeapOps)
-	fmt.Printf("  steals             %12d\n", run.Steals)
+	refs, _, misses := m.Totals()
+	snap := e.Snapshot()
+	fmt.Printf("%s under %s on %d cpu(s), scale %.2f:\n", spec.App, spec.Policy, spec.CPUs, spec.Scale)
+	fmt.Printf("  E-cache refs       %12d\n", refs)
+	fmt.Printf("  E-cache misses     %12d (%.2f%% miss ratio)\n", misses, 100*float64(misses)/float64(max(refs, 1)))
+	fmt.Printf("  cycles             %12d\n", m.MaxCycles())
+	fmt.Printf("  instructions       %12d\n", m.TotalInstrs())
+	fmt.Printf("  context switches   %12d\n", snap.TotalDispatches())
+	fmt.Printf("  heap operations    %12d\n", snap.SchedOps.Total())
+	fmt.Printf("  steals             %12d\n", snap.SchedOps.Steals)
 	return nil
 }
 
@@ -262,32 +209,11 @@ func usageError(err error) {
 	os.Exit(2)
 }
 
-// machineConfig maps the -cpus and -topology flags to the paper's
-// platforms.
-func machineConfig(cpus int, topo cachesim.Topology) machine.Config {
-	cfg := machine.UltraSPARC1()
-	if cpus != 1 {
-		cfg = machine.Enterprise5000(cpus)
-	}
-	cfg.Topology = topo
-	return cfg
-}
-
-// buildEngine constructs the machine + engine pair for the direct-run
-// modes (verbose, timeline, record), attaching the run's observer.
-func buildEngine(policy string, cpus int, topo cachesim.Topology, seed uint64, noAnnot bool, o *obs.Observer) (*machine.Machine, *rt.Engine, error) {
-	m := machine.New(machineConfig(cpus, topo))
-	e, err := rt.New(sim.New(m), rt.Options{Policy: policy, Seed: seed, DisableAnnotations: noAnnot, Obs: o})
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, e, nil
-}
-
 // printMachineDetail renders per-CPU counters and bus traffic after a
 // verbose run.
 func printMachineDetail(m *machine.Machine, e *rt.Engine) {
-	idle := e.IdleCycles()
+	snap := e.Snapshot()
+	idle := snap.IdleCycles
 	fmt.Println("  per-CPU:")
 	for i := 0; i < m.NCPU(); i++ {
 		cpu := m.CPU(i)
@@ -298,7 +224,7 @@ func printMachineDetail(m *machine.Machine, e *rt.Engine) {
 	tr := m.MemoryTraffic()
 	fmt.Printf("  bus traffic: %d KB fills, %d KB writebacks\n",
 		tr.FillBytes/1024, tr.WritebackBytes/1024)
-	times := e.ThreadTimes()
+	times := snap.Threads
 	if len(times) > 5 {
 		times = times[:5]
 	}
@@ -310,21 +236,13 @@ func printMachineDetail(m *machine.Machine, e *rt.Engine) {
 
 // runVerbose runs the app once with direct machine access and prints
 // the detailed breakdown.
-func runVerbose(appName, policy string, cpus int, topo cachesim.Topology, scale float64, seed uint64, noAnnot bool, session *obs.Session) error {
-	app, err := workloads.SchedAppByName(appName)
+func runVerbose(spec runspec.Spec, opts rt.Options) error {
+	m, e, err := spec.Run(context.Background(), opts, nil)
 	if err != nil {
-		return err
-	}
-	m, e, err := buildEngine(policy, cpus, topo, seed, noAnnot, session.Observer(cellKey(appName, policy, cpus, false), cpus))
-	if err != nil {
-		return err
-	}
-	app.Spawn(e, scale)
-	if err := e.Run(context.Background()); err != nil {
 		return err
 	}
 	refs, _, misses := m.Totals()
-	fmt.Printf("%s under %s on %d cpu(s), scale %.2f:\n", appName, policy, cpus, scale)
+	fmt.Printf("%s under %s on %d cpu(s), scale %.2f:\n", spec.App, spec.Policy, spec.CPUs, spec.Scale)
 	fmt.Printf("  E-refs %d, E-misses %d, cycles %d\n", refs, misses, m.MaxCycles())
 	printMachineDetail(m, e)
 	return nil
@@ -334,35 +252,16 @@ func runVerbose(appName, policy string, cpus int, topo cachesim.Topology, scale 
 // around the simulator and reports the per-CPU counter-health
 // accounting — the runtime's sanitizer and quarantine machinery at
 // work against lying instrumentation.
-func runFaults(appName, policy string, cpus int, topo cachesim.Topology, scale float64, seed uint64, noAnnot bool, cfg faulty.Config, session *obs.Session, crash crashConfig) error {
-	app, err := workloads.SchedAppByName(appName)
+func runFaults(spec runspec.Spec, opts rt.Options) error {
+	m, e, err := spec.Run(context.Background(), opts, nil)
 	if err != nil {
-		return err
-	}
-	ckpt, err := crash.checkpoint(appName, scale, noAnnot, cfg)
-	if err != nil {
-		return err
-	}
-	m := machine.New(machineConfig(cpus, topo))
-	plat, err := faulty.New(sim.New(m), cfg)
-	if err != nil {
-		return err
-	}
-	e, err := rt.New(plat, rt.Options{Policy: policy, Seed: seed, DisableAnnotations: noAnnot,
-		Obs:        session.Observer(cellKey(appName, policy, cpus, cfg.Enabled()), cpus),
-		Checkpoint: ckpt, StallTimeout: crash.stallTimeout})
-	if err != nil {
-		return err
-	}
-	app.Spawn(e, scale)
-	if err := e.Run(context.Background()); err != nil {
 		return err
 	}
 	refs, _, misses := m.Totals()
-	fmt.Printf("%s under %s on %d cpu(s), scale %.2f, faults %s:\n", appName, policy, cpus, scale, cfg)
+	fmt.Printf("%s under %s on %d cpu(s), scale %.2f, faults %s:\n", spec.App, spec.Policy, spec.CPUs, spec.Scale, spec.Faults)
 	fmt.Printf("  E-refs %d, E-misses %d, cycles %d\n", refs, misses, m.MaxCycles())
 	fmt.Println("  counter health:")
-	for _, h := range e.CounterHealth() {
+	for _, h := range e.Snapshot().Health {
 		fmt.Printf("    %s\n", h)
 	}
 	return nil
@@ -370,24 +269,17 @@ func runFaults(appName, policy string, cpus int, topo cachesim.Topology, scale f
 
 // runTimeline executes the app printing the first n dispatches — a
 // quick view of what the policy actually does with the threads.
-func runTimeline(appName, policy string, cpus int, topo cachesim.Topology, scale float64, seed uint64, n int, session *obs.Session) error {
-	app, err := workloads.SchedAppByName(appName)
-	if err != nil {
-		return err
-	}
-	m, e, err := buildEngine(policy, cpus, topo, seed, false, session.Observer(cellKey(appName, policy, cpus, false), cpus))
-	if err != nil {
-		return err
-	}
+func runTimeline(spec runspec.Spec, n int, opts rt.Options) error {
 	count := 0
-	e.OnDispatch = func(cpu int, tid mem.ThreadID, name string) {
-		if count < n {
-			fmt.Printf("%8d cy  cpu%-2d  %-6v  %s\n", m.CPU(cpu).Cycles, cpu, tid, name)
+	_, _, err := spec.Run(context.Background(), opts, func(m *machine.Machine, e *rt.Engine) {
+		e.OnDispatch = func(cpu int, tid mem.ThreadID, name string) {
+			if count < n {
+				fmt.Printf("%8d cy  cpu%-2d  %-6v  %s\n", m.CPU(cpu).Cycles, cpu, tid, name)
+			}
+			count++
 		}
-		count++
-	}
-	app.Spawn(e, scale)
-	if err := e.Run(context.Background()); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	fmt.Printf("... %d dispatches total\n", count)
@@ -396,27 +288,21 @@ func runTimeline(appName, policy string, cpus int, topo cachesim.Topology, scale
 
 // runRecord executes the app on the simulator while capturing the
 // scheduling trace, then saves the recording for later -replay.
-func runRecord(path, appName, policy string, cpus int, topo cachesim.Topology, scale float64, seed uint64, noAnnot bool, session *obs.Session) error {
-	app, err := workloads.SchedAppByName(appName)
+func runRecord(path string, spec runspec.Spec, opts rt.Options) error {
+	var rec *trace.Recorder
+	m, _, err := spec.Run(context.Background(), opts, func(_ *machine.Machine, e *rt.Engine) {
+		plat := e.Platform()
+		rec = trace.NewRecorder(spec.Policy, plat.NCPU(), plat.CacheLines(),
+			plat.LineBytes(), plat.PageBytes(), 16)
+		if spec.Topology.Shared() {
+			// Stamp shared-topology provenance; the zero value stays
+			// absent so pre-existing recordings of the private
+			// hierarchy are byte-identical.
+			rec.SetTopology(spec.Topology.String())
+		}
+		e.OnEvent = rec.Observe
+	})
 	if err != nil {
-		return err
-	}
-	m, e, err := buildEngine(policy, cpus, topo, seed, noAnnot, session.Observer(cellKey(appName, policy, cpus, false), cpus))
-	if err != nil {
-		return err
-	}
-	plat := e.Platform()
-	rec := trace.NewRecorder(policy, plat.NCPU(), plat.CacheLines(),
-		plat.LineBytes(), plat.PageBytes(), 16)
-	if topo.Shared() {
-		// Stamp shared-topology provenance; the zero value stays absent
-		// so pre-existing recordings of the private hierarchy are
-		// byte-identical.
-		rec.SetTopology(topo.String())
-	}
-	e.OnEvent = rec.Observe
-	app.Spawn(e, scale)
-	if err := e.Run(context.Background()); err != nil {
 		return err
 	}
 	// Atomic write: a kill mid-save leaves no torn recording behind.
@@ -427,7 +313,7 @@ func runRecord(path, appName, policy string, cpus int, topo cachesim.Topology, s
 	}
 	refs, _, misses := m.Totals()
 	fmt.Printf("recorded %d events (%d intervals) from %s/%s on %d cpu(s) to %s\n",
-		len(rec.Recording().Events), len(rec.Recording().Intervals()), appName, policy, cpus, path)
+		len(rec.Recording().Events), len(rec.Recording().Intervals()), spec.App, spec.Policy, spec.CPUs, path)
 	fmt.Printf("  E-refs %d, E-misses %d, cycles %d\n", refs, misses, m.MaxCycles())
 	return nil
 }

@@ -33,13 +33,10 @@ import (
 	"strings"
 	"syscall"
 
-	"repro/internal/machine"
-	"repro/internal/platform"
 	"repro/internal/platform/faulty"
-	"repro/internal/platform/sim"
 	"repro/internal/rt"
+	"repro/internal/runspec"
 	"repro/internal/snapshot"
-	"repro/internal/workloads"
 	"repro/internal/xrand"
 )
 
@@ -78,34 +75,17 @@ func runWorker(dir, appName, policy string, cpus int, scale float64, seed uint64
 	if dir == "" {
 		return errors.New("-worker needs -dir")
 	}
-	appl, err := workloads.SchedAppByName(appName)
-	if err != nil {
-		return err
-	}
 	faultCfg, err := faulty.ParseSpec(faults)
 	if err != nil {
 		return err
 	}
-	var cfgM machine.Config
-	if cpus == 1 {
-		cfgM = machine.UltraSPARC1()
-	} else {
-		cfgM = machine.Enterprise5000(cpus)
-	}
-	var plat platform.Platform = sim.New(machine.New(cfgM))
-	if faultCfg.Enabled() {
-		if plat, err = faulty.New(plat, faultCfg); err != nil {
-			return err
-		}
+	spec := runspec.Spec{App: appName, Policy: policy, CPUs: cpus, Scale: scale, Seed: seed, Faults: faultCfg}
+	if err := spec.Validate(); err != nil {
+		return err
 	}
 	ckpt := rt.CheckpointConfig{
 		Every: every,
 		Path:  filepath.Join(dir, "soak.snap"),
-		Config: []snapshot.KV{
-			{K: "app", V: appName},
-			{K: "scale", V: fmt.Sprintf("%g", scale)},
-			{K: "faults", V: faultCfg.String()},
-		},
 		OnCheckpoint: func(st *snapshot.State) error {
 			// One line per boundary; the parent's kill schedule counts
 			// these. Stdout is unbuffered line-at-a-time on purpose —
@@ -115,23 +95,15 @@ func runWorker(dir, appName, policy string, cpus int, scale float64, seed uint64
 		},
 	}
 	if resume {
-		st, err := snapshot.LoadFile(ckpt.Path)
-		switch {
-		case err == nil:
-			ckpt.Resume = st
-			fmt.Printf("RESUME %d %d\n", st.Steps, st.Now)
-		case errors.Is(err, os.ErrNotExist):
-			// First attempt: nothing written yet, start fresh.
-		default:
+		if ckpt.Resume, err = runspec.LoadResume(ckpt.Path); err != nil {
 			return err
 		}
+		if st := ckpt.Resume; st != nil {
+			fmt.Printf("RESUME %d %d\n", st.Steps, st.Now)
+		}
 	}
-	e, err := rt.New(plat, rt.Options{Policy: policy, Seed: seed, Checkpoint: ckpt})
+	_, e, err := spec.Run(context.Background(), rt.Options{Checkpoint: ckpt}, nil)
 	if err != nil {
-		return err
-	}
-	appl.Spawn(e, scale)
-	if err := e.Run(context.Background()); err != nil {
 		return err
 	}
 	fmt.Printf("FINGERPRINT %016x\n", e.CaptureState().Fingerprint())

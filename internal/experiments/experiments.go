@@ -9,21 +9,15 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/cachesim"
-	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/platform/sim"
 	"repro/internal/rt"
-	"repro/internal/snapshot"
-	"repro/internal/workloads"
+	"repro/internal/runspec"
 )
 
 // Policies are the scheduling policies of Section 5, baseline first.
@@ -126,73 +120,35 @@ type SchedConfig struct {
 	Topology string
 }
 
-// cellKey names one run's observer cell. It must be a pure function of
-// the run configuration (obs.Cell.Key documents why).
-func (c SchedConfig) cellKey(app, policy string) string {
-	key := fmt.Sprintf("%s/%s/%dcpu", app, policy, c.CPUs)
-	if c.DisableAnnotations {
-		key += "/noannot"
-	}
-	if c.InferSharing {
-		key += "/infer"
-	}
-	if c.SpawnStacks {
-		key += "/spawnstacks"
-	}
-	if topo, err := cachesim.ParseTopology(c.Topology); err == nil && topo.Shared() {
-		key += "/" + topo.String()
-	}
-	return key
-}
-
-// configKV renders the run parameters the engine cannot verify itself
-// (it checks policy, CPU count and seed natively) as the snapshot's
-// config record, so a checkpoint can never be resumed under a
-// different application or scale.
-func (c SchedConfig) configKV(app string) []snapshot.KV {
-	return []snapshot.KV{
-		{K: "app", V: app},
-		{K: "scale", V: strconv.FormatFloat(c.Scale, 'g', -1, 64)},
-		{K: "noannot", V: strconv.FormatBool(c.DisableAnnotations)},
-		{K: "infer", V: strconv.FormatBool(c.InferSharing)},
-		{K: "threshold", V: strconv.FormatFloat(c.Threshold, 'g', -1, 64)},
-		{K: "spawnstacks", V: strconv.FormatBool(c.SpawnStacks)},
-		{K: "topology", V: c.topology().String()},
-	}
-}
-
-// topology parses the configured spec, falling back to the private
-// default on garbage — RunSched rejects the garbage before any
-// snapshot is written, so the fallback is never persisted.
-func (c SchedConfig) topology() cachesim.Topology {
-	topo, _ := cachesim.ParseTopology(c.Topology)
-	return topo
+// Spec is the run spec of one cell of the experiment: app under policy
+// with the config's platform, scale, seed and ablations.
+func (c SchedConfig) Spec(app, policy string) (runspec.Spec, error) {
+	c = c.withDefaults()
+	topo, err := cachesim.ParseTopology(c.Topology)
+	return runspec.Spec{
+		App: app, Policy: policy, CPUs: c.CPUs, Topology: topo,
+		Scale: c.Scale, Seed: c.Seed,
+		NoAnnotations: c.DisableAnnotations, Infer: c.InferSharing,
+		Threshold: c.Threshold, SpawnStacks: c.SpawnStacks,
+	}, err
 }
 
 // checkpointConfig resolves the run's snapshot path and, when resuming,
 // loads the stored snapshot. A Resume with no snapshot file present
 // starts fresh — that is what lets a killed multi-cell sweep restart
 // with every cell picking up from its own last boundary.
-func (c SchedConfig) checkpointConfig(app, policy string) (rt.CheckpointConfig, error) {
+func (c SchedConfig) checkpointConfig(spec runspec.Spec) (rt.CheckpointConfig, error) {
 	cfg := rt.CheckpointConfig{Every: c.CheckpointEvery, Path: c.CheckpointPath}
 	if cfg.Path == "" && c.CheckpointDir != "" {
 		cfg.Path = filepath.Join(c.CheckpointDir,
-			strings.NewReplacer("/", "_", " ", "_").Replace(c.cellKey(app, policy))+".snap")
+			strings.NewReplacer("/", "_", " ", "_").Replace(spec.Key())+".snap")
 	}
-	if cfg.Every == 0 && cfg.Path == "" && !c.Resume {
-		return rt.CheckpointConfig{}, nil
-	}
-	cfg.Config = c.configKV(app)
 	if c.Resume && cfg.Path != "" {
-		st, err := snapshot.LoadFile(cfg.Path)
-		switch {
-		case err == nil:
-			cfg.Resume = st
-		case errors.Is(err, os.ErrNotExist):
-			// fresh start
-		default:
+		st, err := runspec.LoadResume(cfg.Path)
+		if err != nil {
 			return rt.CheckpointConfig{}, err
 		}
+		cfg.Resume = st
 	}
 	return cfg, nil
 }
@@ -210,51 +166,32 @@ func (c SchedConfig) withDefaults() SchedConfig {
 	return c
 }
 
-// platform builds the machine for a CPU count and topology.
-func platform(cpus int, topo cachesim.Topology) machine.Config {
-	cfg := machine.UltraSPARC1()
-	if cpus != 1 {
-		cfg = machine.Enterprise5000(cpus)
-	}
-	cfg.Topology = topo
-	return cfg
-}
-
 // RunSched executes one application under one policy and returns its
 // counters. It is the primitive behind Figures 8 and 9, Table 5 and the
 // annotation ablation.
 func RunSched(appName, policy string, cfg SchedConfig) (PolicyRun, error) {
 	cfg = cfg.withDefaults()
-	app, err := workloads.SchedAppByName(appName)
-	if err != nil {
-		return PolicyRun{}, err
-	}
-	topo, err := cachesim.ParseTopology(cfg.Topology)
-	if err != nil {
+	fail := func(err error) (PolicyRun, error) {
 		return PolicyRun{}, fmt.Errorf("experiments: %s/%s/%dcpu: %w", appName, policy, cfg.CPUs, err)
 	}
-	ckpt, err := cfg.checkpointConfig(appName, policy)
-	if err != nil {
-		return PolicyRun{}, fmt.Errorf("experiments: %s/%s/%dcpu: %w", appName, policy, cfg.CPUs, err)
+	spec, err := cfg.Spec(appName, policy)
+	if err == nil {
+		err = spec.Validate()
 	}
-	m := machine.New(platform(cfg.CPUs, topo))
-	e, err := rt.New(sim.New(m), rt.Options{
-		Policy:             policy,
-		Seed:               cfg.Seed,
-		DisableAnnotations: cfg.DisableAnnotations,
-		InferSharing:       cfg.InferSharing,
-		ThresholdLines:     cfg.Threshold,
-		SpawnStacks:        cfg.SpawnStacks,
-		Obs:                cfg.Obs.Observer(cfg.cellKey(appName, policy), cfg.CPUs),
-		Checkpoint:         ckpt,
-		StallTimeout:       cfg.StallTimeout,
-	})
 	if err != nil {
-		return PolicyRun{}, fmt.Errorf("experiments: %s/%s/%dcpu: %w", appName, policy, cfg.CPUs, err)
+		return fail(err)
 	}
-	app.Spawn(e, cfg.Scale)
-	if err := e.Run(context.Background()); err != nil {
-		return PolicyRun{}, fmt.Errorf("experiments: %s/%s/%dcpu: %w", appName, policy, cfg.CPUs, err)
+	ckpt, err := cfg.checkpointConfig(spec)
+	if err != nil {
+		return fail(err)
+	}
+	m, e, err := spec.Run(context.Background(), rt.Options{
+		Obs:          cfg.Obs.Observer(spec.Key(), cfg.CPUs),
+		Checkpoint:   ckpt,
+		StallTimeout: cfg.StallTimeout,
+	}, nil)
+	if err != nil {
+		return fail(err)
 	}
 	refs, _, misses := m.Totals()
 	snap := e.Snapshot()

@@ -26,6 +26,20 @@ func TestRunSchedBasics(t *testing.T) {
 	}
 }
 
+// TestRunSchedBadCPUCount: an impossible machine is a one-line error
+// naming the cell, not a panic inside a (possibly parallel) cell.
+func TestRunSchedBadCPUCount(t *testing.T) {
+	cfg := quickSched
+	cfg.CPUs = 300
+	_, err := RunSched("tasks", "LFF", cfg)
+	if err == nil || !strings.HasPrefix(err.Error(), "experiments: tasks/LFF/300cpu: ") || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("RunSched with 300 CPUs = %v, want a one-line error naming the cell", err)
+	}
+	if _, err := Fig9(cfg); err == nil || strings.Contains(err.Error(), "panicked") {
+		t.Errorf("Fig9 with 300 CPUs = %v, want the cell's error", err)
+	}
+}
+
 func TestRunSchedDeterministic(t *testing.T) {
 	a, err := RunSched("merge", "CRT", quickSched)
 	if err != nil {

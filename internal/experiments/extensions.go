@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cachesim"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/parallel"
-	"repro/internal/platform/sim"
 	"repro/internal/report"
 	"repro/internal/rt"
+	"repro/internal/runspec"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -415,8 +414,7 @@ func CoarseStudy(cfg SchedConfig) (*CoarseResult, error) {
 		var misses [2]uint64
 		var cycles [2]uint64
 		for j, policy := range []string{"FCFS", "LFF"} {
-			m := machine.New(platform(cfg.CPUs, cachesim.Topology{}))
-			e, err := rt.New(sim.New(m), rt.Options{Policy: policy, Seed: cfg.Seed})
+			m, e, err := runspec.Spec{App: name, Policy: policy, CPUs: cfg.CPUs, Seed: cfg.Seed}.Build(rt.Options{})
 			if err != nil {
 				return CoarseRow{}, err
 			}

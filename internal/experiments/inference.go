@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/cachesim"
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/platform/sim"
 	"repro/internal/report"
 	"repro/internal/rt"
+	"repro/internal/runspec"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 )
 
 // InferenceResult compares, for one application on the SMP, the three
@@ -124,46 +122,31 @@ func ProfiledStudy(appName string, cfg SchedConfig) (*ProfiledResult, error) {
 	}
 	cfg = cfg.withDefaults()
 
-	app, err := workloads.SchedAppByName(appName)
-	if err != nil {
-		return nil, err
-	}
 	// Trial run: profile with the monitor, keeping history.
-	profMach := machine.New(platform(cfg.CPUs, cachesim.Topology{}))
-	prof, err := rt.New(sim.New(profMach), rt.Options{
-		Policy: "LFF", Seed: cfg.Seed,
-		DisableAnnotations: true, InferSharing: true, KeepInferenceHistory: true,
-	})
+	spec := runspec.Spec{App: appName, Policy: "LFF", CPUs: cfg.CPUs, Scale: cfg.Scale, Seed: cfg.Seed,
+		NoAnnotations: true, Infer: true}
+	_, prof, err := spec.Run(context.Background(), rt.Options{KeepInferenceHistory: true}, nil)
 	if err != nil {
-		return nil, err
-	}
-	app.Spawn(prof, cfg.Scale)
-	if err := prof.Run(context.Background()); err != nil {
 		return nil, err
 	}
 
 	// Production run: the harvested edges become static annotations
 	// (thread IDs are stable across runs by determinism).
-	runMach := machine.New(platform(cfg.CPUs, cachesim.Topology{}))
-	run, err := rt.New(sim.New(runMach), rt.Options{
-		Policy: "LFF", Seed: cfg.Seed, DisableAnnotations: true,
-	})
-	if err != nil {
-		return nil, err
-	}
+	spec.Infer = false
 	edges := 0
 	monitor := prof.Monitor()
-	for tid := mem.ThreadID(0); tid < 1<<16; tid++ {
-		if monitor.Pages(tid) == 0 {
-			continue
+	runMach, _, err := spec.Run(context.Background(), rt.Options{}, func(_ *machine.Machine, run *rt.Engine) {
+		for tid := mem.ThreadID(0); tid < 1<<16; tid++ {
+			if monitor.Pages(tid) == 0 {
+				continue
+			}
+			for _, e := range monitor.EdgesFor(tid, 0.1, 8) {
+				run.Graph().Share(tid, e.To, e.Q)
+				edges++
+			}
 		}
-		for _, e := range monitor.EdgesFor(tid, 0.1, 8) {
-			run.Graph().Share(tid, e.To, e.Q)
-			edges++
-		}
-	}
-	app.Spawn(run, cfg.Scale)
-	if err := run.Run(context.Background()); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	refs, _, misses := runMach.Totals()

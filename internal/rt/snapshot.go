@@ -1,12 +1,9 @@
 package rt
 
-// This file is the engine's consolidated accounting surface. The
-// scattered per-view accessors (IdleCycles, Dispatches, ThreadTimes,
-// CounterHealth) grew one PR at a time and force callers into four
-// calls for one report; Snapshot returns every view in a single
-// consistent copy and is what the facade, the experiment driver and
-// the observability exporters consume. The old accessors remain for
-// compatibility but are deprecated.
+// This file is the engine's consolidated accounting surface: Snapshot
+// returns every view in a single consistent copy and is what the
+// facade, the experiment driver and the observability exporters
+// consume.
 
 import (
 	"repro/internal/obs"
@@ -60,7 +57,7 @@ func (e *Engine) Snapshot() Snapshot {
 		Steps:      e.steps,
 		Dispatches: append([]uint64(nil), e.dispatches...),
 		IdleCycles: append([]uint64(nil), e.idleCycles...),
-		Threads:    e.ThreadTimes(),
+		Threads:    e.threadTimes(),
 		Health:     e.health.snapshot(),
 		SchedOps:   e.sched.Ops(),
 		Escapes:    e.sched.Escapes(),

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/runspec"
 	"repro/internal/snapshot"
 )
 
@@ -702,7 +704,8 @@ func wireToEntries(wire []obsWireEntry) []obsEntry {
 // verifySnapshotMatches decodes the transferred container (checking
 // magic, version and CRC64) and cross-checks the fields that fingerprint
 // the configuration: seed, policy, quantum and the engine's config
-// record (which carries app, scale, topology, obs level...). The full
+// record (which carries app, scale, topology, obs level...), normalised
+// so a record written before defaults were left out still matches. The full
 // guarantee — bit-identical state — is enforced later by the engine's
 // verified deterministic fast-forward on first resume; this check
 // merely refuses obviously-mismatched transfers before they are
@@ -724,18 +727,8 @@ func verifySnapshotMatches(raw []byte, cfg SessionConfig) error {
 	if st.CheckpointEvery != cfg.Quantum {
 		return fmt.Errorf("migrated snapshot quantum %d does not match config quantum %d", st.CheckpointEvery, cfg.Quantum)
 	}
-	want := cfg.kv()
-	if len(st.Config) != len(want) {
-		return fmt.Errorf("migrated snapshot config record has %d fields, want %d", len(st.Config), len(want))
-	}
-	wantByKey := make(map[string]string, len(want))
-	for _, kv := range want {
-		wantByKey[kv.K] = kv.V
-	}
-	for _, kv := range st.Config {
-		if v, ok := wantByKey[kv.K]; !ok || v != kv.V {
-			return fmt.Errorf("migrated snapshot config field %q=%q does not match session config", kv.K, kv.V)
-		}
+	if got, want := runspec.Normalize(st.Config, sessionDefaults...), cfg.record(); !slices.Equal(got, want) {
+		return fmt.Errorf("migrated snapshot config record %v does not match session config %v", got, want)
 	}
 	return nil
 }

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cachesim"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/platform/sim"
@@ -61,11 +60,11 @@ func TestObsStreamMatchesEngineExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo, err := cachesim.ParseTopology(cfg.Topology)
+	spec, err := cfg.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcfg := cfg.machineConfig(topo)
+	mcfg := spec.Machine()
 	obsv := obs.New(mcfg.CPUs, obs.Options{
 		Level: obs.Trace, RingSize: cfg.ObsRing, StreamSize: cfg.ObsRing,
 	})
@@ -75,7 +74,7 @@ func TestObsStreamMatchesEngineExport(t *testing.T) {
 		Obs:    obsv,
 		Checkpoint: rt.CheckpointConfig{
 			Every:        cfg.Quantum,
-			Config:       cfg.kv(),
+			Config:       cfg.record(),
 			OnCheckpoint: func(*snapshot.State) error { return nil },
 		},
 	})
@@ -241,7 +240,7 @@ func TestObsOffSession(t *testing.T) {
 	}
 	// And the obs level stayed out of the session's snapshot config:
 	// the config record must look exactly like a pre-observability one.
-	for _, kv := range cfg.kv() {
+	for _, kv := range cfg.record() {
 		if kv.K == "obs" || kv.K == "obsring" {
 			t.Fatalf("obs-off config leaked %q into the snapshot config record", kv.K)
 		}

@@ -5,18 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cachesim"
 	"repro/internal/machine"
-	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/platform/sim"
 	"repro/internal/rt"
+	"repro/internal/runspec"
 	"repro/internal/snapshot"
-	"repro/internal/workloads"
 )
 
 // State is a session's lifecycle state. The machine is
@@ -140,23 +139,27 @@ func (c SessionConfig) obsLevel() obs.Level {
 	return lvl
 }
 
+// Spec is the session's run spec. Sessions run without faults or
+// inference.
+func (c SessionConfig) Spec() (runspec.Spec, error) {
+	topo, err := cachesim.ParseTopology(c.Topology)
+	return runspec.Spec{
+		App: c.App, Policy: c.Policy, CPUs: c.CPUs, Topology: topo,
+		Scale: c.Scale, Seed: c.Seed, NoAnnotations: c.DisableAnnotations,
+	}, err
+}
+
 // validate rejects a config at admission time, so nothing bad reaches
 // an engine (or a snapshot) later.
 func (c SessionConfig) validate(srv Config) error {
-	if _, err := workloads.SchedAppByName(c.App); err != nil {
-		return err
+	spec, err := c.Spec()
+	if err == nil {
+		err = spec.Validate()
 	}
-	if _, err := model.SchemeFor(c.Policy); err != nil {
-		return err
-	}
-	topo, err := cachesim.ParseTopology(c.Topology)
 	if err != nil {
 		return err
 	}
-	if err := c.machineConfig(topo).Validate(); err != nil {
-		return err
-	}
-	if c.Scale <= 0 || c.Scale > srv.MaxScale {
+	if c.Scale > srv.MaxScale {
 		return fmt.Errorf("scale %v outside (0, %v]", c.Scale, srv.MaxScale)
 	}
 	if c.Quantum < srv.MinQuantum || c.Quantum > srv.MaxQuantum {
@@ -174,39 +177,31 @@ func (c SessionConfig) validate(srv Config) error {
 	return nil
 }
 
-// machineConfig maps the session's platform knobs to the paper's
-// machines, exactly as atsim's flags do.
-func (c SessionConfig) machineConfig(topo cachesim.Topology) machine.Config {
-	cfg := machine.UltraSPARC1()
-	if c.CPUs != 1 {
-		cfg = machine.Enterprise5000(c.CPUs)
+// sessionDefaults are the session-only config record keys at their
+// default values; like the spec's own optional keys they are left out
+// of the record.
+var sessionDefaults = []snapshot.KV{{K: "panicat", V: "0"}, {K: "obsring", V: "0"}}
+
+// sessionKeys renders the session-only part of the snapshot config
+// record: the chaos probe and, for observed sessions only, the obs
+// level and ring size (both shape the obs digest a resume must
+// reproduce). Policy, seed, CPU count, cache geometry and quantum are
+// checked by rt itself.
+func (c SessionConfig) sessionKeys() []snapshot.KV {
+	keys := []snapshot.KV{{K: "panicat", V: strconv.FormatUint(c.PanicAtBoundary, 10)}}
+	if lvl := c.obsLevel(); lvl != obs.Off {
+		keys = append(keys,
+			snapshot.KV{K: "obs", V: lvl.String()},
+			snapshot.KV{K: "obsring", V: strconv.Itoa(c.ObsRing)})
 	}
-	cfg.Topology = topo
-	return cfg
+	return runspec.Normalize(keys, sessionDefaults...)
 }
 
-// kv renders the config fields the engine cannot verify natively
-// (policy, seed, CPU count, cache geometry and quantum are checked by
-// rt itself) into the snapshot's config record, so a session snapshot
-// can never resume a differently-configured session.
-func (c SessionConfig) kv() []snapshot.KV {
-	out := []snapshot.KV{
-		{K: "app", V: c.App},
-		{K: "scale", V: fmt.Sprintf("%g", c.Scale)},
-		{K: "noannot", V: fmt.Sprintf("%t", c.DisableAnnotations)},
-		{K: "topology", V: c.Topology},
-		{K: "panicat", V: fmt.Sprintf("%d", c.PanicAtBoundary)},
-	}
-	// Present only for observed sessions, so snapshots of obs-off
-	// sessions keep the exact config record (and fingerprint) they had
-	// before observability existed — old snapshots stay resumable.
-	if lvl := c.obsLevel(); lvl != obs.Off {
-		out = append(out,
-			snapshot.KV{K: "obs", V: lvl.String()},
-			snapshot.KV{K: "obsring", V: fmt.Sprintf("%d", c.ObsRing)},
-		)
-	}
-	return out
+// record is the session's complete snapshot config record, so a
+// session snapshot can never resume a differently-configured session.
+func (c SessionConfig) record() []snapshot.KV {
+	spec, _ := c.Spec() // callers hold configs validated at admission
+	return runspec.Normalize(append(spec.Record(), c.sessionKeys()...))
 }
 
 // Result is a completed session's outcome. Fingerprint is the CRC64 of
@@ -529,54 +524,41 @@ func (le *liveEngine) run() (res *Result, completed bool, err error) {
 	defer le.releaseToken()
 	sess, cfg := le.sess, le.sess.Cfg
 
-	app, err := workloads.SchedAppByName(cfg.App)
+	spec, err := cfg.Spec()
 	if err != nil {
 		return nil, false, err // unreachable: validated at admission
-	}
-	topo, err := cachesim.ParseTopology(cfg.Topology)
-	if err != nil {
-		return nil, false, err
 	}
 	st, err := le.srv.loadResume(sess)
 	if err != nil {
 		return nil, false, err
 	}
-	mcfg := cfg.machineConfig(topo)
 	if lvl := cfg.obsLevel(); lvl != obs.Off {
 		// The stream ring shares the event rings' capacity: it holds
 		// the emission-order tail the live /obs endpoint drains at each
 		// boundary. Sized per session (cfg.ObsRing) because the event
 		// rings feed the resume-verified obs digest.
-		le.obsv = obs.New(mcfg.CPUs, obs.Options{
+		le.obsv = obs.New(spec.CPUs, obs.Options{
 			Level:      lvl,
 			RingSize:   cfg.ObsRing,
 			StreamSize: cfg.ObsRing,
 		})
 	}
-	m := machine.New(mcfg)
-	e, err := rt.New(sim.New(m), rt.Options{
-		Policy:             cfg.Policy,
-		Seed:               cfg.Seed,
-		DisableAnnotations: cfg.DisableAnnotations,
-		StallTimeout:       le.srv.cfg.StallTimeout,
-		Obs:                le.obsv,
+	m, e, err := spec.Run(le.srv.baseCtx, rt.Options{
+		StallTimeout: le.srv.cfg.StallTimeout,
+		Obs:          le.obsv,
 		Checkpoint: rt.CheckpointConfig{
 			Every:        cfg.Quantum,
-			Config:       cfg.kv(),
+			Config:       cfg.sessionKeys(),
 			Resume:       st,
 			OnCheckpoint: le.onBoundary,
 		},
+	}, func(_ *machine.Machine, e *rt.Engine) {
+		le.eng = e
+		if st != nil {
+			sess.noteResumed(st)
+			le.srv.met.sessionsResumed.Add(le.srv.shard(sess.ID), 1)
+		}
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	le.eng = e
-	if st != nil {
-		sess.noteResumed(st)
-		le.srv.met.sessionsResumed.Add(le.srv.shard(sess.ID), 1)
-	}
-	app.Spawn(e, cfg.Scale)
-	err = e.Run(le.srv.baseCtx)
 	switch {
 	case err == nil:
 		refs, _, misses := m.Totals()

@@ -16,6 +16,7 @@ import (
 	"repro/internal/fsatomic"
 	"repro/internal/parallel"
 	"repro/internal/retry"
+	"repro/internal/runspec"
 	"repro/internal/snapshot"
 )
 
@@ -147,7 +148,8 @@ func (st *store) writeSnapshot(id string, s *snapshot.State) error {
 	})
 }
 
-// loadSnapshot returns the session's snapshot, or (nil, nil) when none
+// loadSnapshot returns the session's snapshot, its config record
+// normalised (see runspec.Normalize), or (nil, nil) when none
 // exists — a session whose snapshot vanished restarts from cycle zero,
 // which is deterministic, just slower.
 func (st *store) loadSnapshot(id string) (*snapshot.State, error) {
@@ -163,6 +165,7 @@ func (st *store) loadSnapshot(id string) (*snapshot.State, error) {
 			}
 			return err
 		}
+		s.Config = runspec.Normalize(s.Config, sessionDefaults...)
 		out = s
 		return nil
 	})

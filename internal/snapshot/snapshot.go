@@ -293,9 +293,14 @@ func Load(r io.Reader) (*State, error) {
 	if size > maxPayload {
 		return nil, fmt.Errorf("snapshot: payload length %d exceeds the %d-byte bound", size, maxPayload)
 	}
-	payload := make([]byte, size)
-	if n, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("snapshot: payload truncated at byte %d of %d: %w", n, size, err)
+	// Read what is there rather than allocating the claimed length up
+	// front: a corrupt or hostile header must not cost gigabytes.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(size)))
+	if err == nil && uint64(len(payload)) != size {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: payload truncated at byte %d of %d: %w", len(payload), size, err)
 	}
 	want := binary.LittleEndian.Uint64(hdr[20:28])
 	if got := crc64.Checksum(payload, crcTable); got != want {

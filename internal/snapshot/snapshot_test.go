@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -157,6 +158,23 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		_, err := Load(bytes.NewReader(b))
 		if err == nil || !strings.Contains(err.Error(), "trailing") {
 			t.Fatalf("want trailing-bytes error, got %v", err)
+		}
+	})
+	t.Run("hostile length", func(t *testing.T) {
+		// A header claiming the maximum payload in front of a few bytes
+		// is a truncation, and costs no more memory than the bytes.
+		b := append([]byte(nil), good[:28]...)
+		binary.LittleEndian.PutUint64(b[12:20], 1<<31)
+		b = append(b, 1, 2, 3)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Load(bytes.NewReader(b))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Fatalf("want truncation error, got %v", err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("loading a 31-byte file allocated %d bytes", n)
 		}
 	})
 	t.Run("hostile count", func(t *testing.T) {

@@ -18,6 +18,9 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
+# The benchmark is a nested module the root build never compiles; vet it
+# so an internal API change cannot break it with CI still green.
+(cd perfbench && go vet .)
 go test -race -short -timeout 30m ./...
 go test -fuzz FuzzLoadRecording -fuzztime 10s -run '^$' ./internal/trace
 go test -fuzz FuzzSanitizeStream -fuzztime 10s -run '^$' ./internal/rt
@@ -62,6 +65,14 @@ go build -o "$ckptdir/atsim" ./cmd/atsim
     -checkpoint "$ckptdir/run.snap" -resume > "$ckptdir/resumed.txt"
 cmp "$ckptdir/straight.txt" "$ckptdir/resumed.txt" || {
     echo "kill-resume differential: resumed run output diverged" >&2; exit 1; }
+# The same differential under counter faults (-faults mode assembles a
+# faulty platform and records the fault schedule in the snapshot).
+"$ckptdir/atsim" -app tasks -cpus 2 -scale 0.2 -faults all -checkpoint-every 10000 \
+    -checkpoint "$ckptdir/faults.snap" > "$ckptdir/faults-straight.txt"
+"$ckptdir/atsim" -app tasks -cpus 2 -scale 0.2 -faults all -checkpoint-every 10000 \
+    -checkpoint "$ckptdir/faults.snap" -resume > "$ckptdir/faults-resumed.txt"
+cmp "$ckptdir/faults-straight.txt" "$ckptdir/faults-resumed.txt" || {
+    echo "kill-resume differential: resumed -faults run output diverged" >&2; exit 1; }
 
 # Chaos soak smoke: one subprocess SIGKILL/resume cycle converging to
 # the straight-run fingerprint (scripts/soak.sh runs the full matrix).
