@@ -20,6 +20,9 @@ import (
 // stores that touch directory state. The differential tests in
 // machine/fastapply_test.go and the golden experiment fingerprints pin
 // this path event-for-event against the per-reference loop.
+// FetchRange at the end of the file is the same idea for the
+// instruction side: a dispatch's whole code-region fetch in one call,
+// pinned by machine/fetchlane_test.go.
 
 // SweepEnv is the set of machine-layer services a swept access needs,
 // kept behind an interface so cachesim stays below the machine layer.
@@ -45,13 +48,14 @@ type SweepEnv interface {
 	DirtyStore(line mem.Addr)
 }
 
-// SweepOutcome aggregates a swept access's charges by penalty class;
-// the machine converts them into cycles, shadow counters and PIC
-// events (all additive, so one batched conversion is event-for-event
-// identical to per-reference charging).
+// SweepOutcome aggregates a swept access's (or a fetched code range's)
+// charges by penalty class; the machine converts them into cycles,
+// shadow counters and PIC events (all additive, so one batched
+// conversion is event-for-event identical to per-reference charging).
 type SweepOutcome struct {
-	// L1Refs is the number of references satisfied at the L1D hit
-	// latency (L1D load hits plus the replayed repeats of load runs).
+	// L1Refs is the number of references satisfied at the first-level
+	// hit latency (L1D load hits plus the replayed repeats of load runs;
+	// L1I hits for FetchRange).
 	L1Refs uint64
 	// L2HitRefs is the number of E-cache references that hit (charged
 	// the L2 hit latency).
@@ -676,4 +680,107 @@ func (c *Cache) fillMissedDM(s *slot, line mem.Addr, tid mem.ThreadID, dirty, sh
 	}
 	c.fillSlot(s, line, tid, dirty, shared)
 	return Victim{}
+}
+
+// FastInst reports whether the instruction path can run as one fused
+// FetchRange: a private, direct-mapped L2 (not forced generic) behind
+// an L1I with no listener or classifier (the machine attaches neither).
+// Shared-L2 topologies keep the per-fetch Inst path.
+func (h *Hierarchy) FastInst() bool {
+	return h.shared == nil && h.L2.direct && !h.L2.forceGeneric &&
+		h.L1I.listener == nil && h.L1I.classify == nil
+}
+
+// FetchRange performs lines instruction fetches at base, base+L1I line,
+// base+2·L1I line, … — the fused equivalent of issuing each through
+// Inst. The fetches of one virtual page fall on consecutive L1I lines,
+// so resident stretches run through hitRun with the statistics batched,
+// and only an L1I miss takes Inst's own L2 probe and fill paths. The
+// machine is called back once per virtual page entered (TranslatePage)
+// and, when coherent, once per L2 miss (LineMiss, with write=false).
+// The caller must not attach a miss hook to LineMiss for fetches:
+// instruction misses are not data misses. Requires FastInst.
+func (h *Hierarchy) FetchRange(env SweepEnv, tid mem.ThreadID, base mem.Addr, lines int, pageShift uint, coherent bool) SweepOutcome {
+	c, e := h.L1I, h.L2
+	step := mem.Addr(c.cfg.LineSize)
+	var out SweepOutcome
+	var misses uint64
+	va := base
+	for lines > 0 {
+		// The fetches left in va's page.
+		pageEnd := (uint64(va)>>pageShift + 1) << pageShift
+		k := int((pageEnd - uint64(va) + uint64(step) - 1) >> c.lineShift)
+		if k > lines {
+			k = lines
+		}
+		lines -= k
+		pa := env.TranslatePage(va)
+		for k > 0 {
+			hits := c.hitRun(tid, pa, k)
+			out.L1Refs += uint64(hits)
+			k -= hits
+			va += mem.Addr(hits) * step
+			pa += mem.Addr(hits) * step
+			if k == 0 {
+				break
+			}
+			// L1I miss: the rest of Inst.
+			misses++
+			if e.lookupDM(tid, pa, false) {
+				out.L2HitRefs++
+				c.Insert(tid, pa, false, false)
+			} else {
+				victim := h.fillL2(tid, pa, false, false)
+				c.Insert(tid, pa, false, false)
+				if coherent && env.LineMiss(va, e.LineOf(pa), false, victim) {
+					out.RemoteMisses++
+				} else {
+					out.CleanMisses++
+				}
+			}
+			va += step
+			pa += step
+			k--
+		}
+	}
+	c.stats.Refs += out.L1Refs + misses
+	c.stats.Hits += out.L1Refs
+	c.stats.Misses += misses
+	return out
+}
+
+// hitRun probes up to k consecutive lines starting at a's, stopping at
+// the first one not resident, and returns how many hit. Each hit is a
+// Lookup hit by tid minus the statistics, which the caller batches: the
+// owner is updated and, outside the direct-mapped lane, the recency
+// clock advances. The lines' sets are consecutive, so the walk steps
+// the set index instead of re-deriving it.
+func (c *Cache) hitRun(tid mem.ThreadID, a mem.Addr, k int) int {
+	slots, mask, ways := c.slots, c.setMask, uint64(c.ways)
+	lru := !c.direct || c.forceGeneric
+	step := mem.Addr(c.cfg.LineSize)
+	line := c.LineOf(a)
+	idx := uint64(line>>c.lineShift) & mask
+	clock := c.useClock
+	n := 0
+	for ; n < k; n++ {
+		first := idx * ways
+		set := slots[first : first+ways]
+		w := 0
+		for w < len(set) && (set[w].flags&flagValid == 0 || set[w].tag != line) {
+			w++
+		}
+		if w == len(set) {
+			break
+		}
+		if lru {
+			clock++
+			c.lastUse[first+uint64(w)] = clock
+		}
+		set[w].owner = tid
+		line += step
+		idx = (idx + 1) & mask
+	}
+	c.useClock = clock
+	return n
 }

@@ -32,3 +32,22 @@ func BenchmarkApplySweepL2Fused(b *testing.B)  { benchApply(b, false, 256<<10) }
 func BenchmarkApplySweepL2Slow(b *testing.B)   { benchApply(b, true, 256<<10) }
 func BenchmarkApplySweepMemFused(b *testing.B) { benchApply(b, false, 1<<20) }
 func BenchmarkApplySweepMemSlow(b *testing.B)  { benchApply(b, true, 1<<20) }
+
+// benchTouchCode measures one TouchCode of a codeBytes region on an
+// 8-CPU E5000, fused or per line. The engine's default 2 KB region
+// stays L1I-resident (the common dispatch); a 64 KB region overflows
+// the 16 KB L1I, so every fetch misses it and hits the E-cache.
+func benchTouchCode(b *testing.B, slow bool, codeBytes uint64) {
+	m := New(Enterprise5000(8))
+	m.noFastApply = slow
+	code := m.Alloc(codeBytes, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.TouchCode(0, 1, code)
+	}
+}
+
+func BenchmarkTouchCodeL1IFused(b *testing.B) { benchTouchCode(b, false, 2<<10) }
+func BenchmarkTouchCodeL1ISlow(b *testing.B)  { benchTouchCode(b, true, 2<<10) }
+func BenchmarkTouchCodeL2Fused(b *testing.B)  { benchTouchCode(b, false, 64<<10) }
+func BenchmarkTouchCodeL2Slow(b *testing.B)   { benchTouchCode(b, true, 64<<10) }

@@ -661,6 +661,9 @@ type sweepEnv struct {
 	m   *Machine
 	cpu *CPU
 	tid mem.ThreadID
+	// hook is the miss hook LineMiss reports to: the Machine's MissHook
+	// for data sweeps, nil for instruction fetches.
+	hook func(tid mem.ThreadID, va mem.Addr)
 }
 
 // TranslatePage charges the modelled per-CPU TLB once for va's page
@@ -688,8 +691,8 @@ func (s *sweepEnv) LineMiss(va, line mem.Addr, write bool, victim cachesim.Victi
 			m.dropSharer(victim.Line, s.cpu.ID)
 		}
 	}
-	if m.MissHook != nil {
-		m.MissHook(s.tid, va)
+	if s.hook != nil {
+		s.hook(s.tid, va)
 	}
 	return remote
 }
@@ -708,12 +711,18 @@ func (s *sweepEnv) DirtyStore(line mem.Addr) { s.m.setDirty(line, s.cpu.ID) }
 // is event-for-event identical to the per-reference loop, which the
 // differential tests in fastapply_test.go pin.
 func (m *Machine) applySweep(cpu *CPU, tid mem.ThreadID, a mem.Access) {
-	m.env.cpu = cpu
-	m.env.tid = tid
+	m.env.cpu, m.env.tid, m.env.hook = cpu, tid, m.MissHook
 	out := cpu.Hier.SweepDM(&m.env, tid, a, m.pageShift, m.dir != nil)
+	m.chargeSweep(cpu, out, m.cfg.L1D.HitCycles)
+}
+
+// chargeSweep converts a fused sweep's or fetch's outcome into cycles,
+// shadow counters and PIC events, l1HitCycles being the latency of the
+// first-level cache it ran through.
+func (m *Machine) chargeSweep(cpu *CPU, out cachesim.SweepOutcome, l1HitCycles int) {
 	misses := out.CleanMisses + out.RemoteMisses
 	eRefs := out.L2HitRefs + misses
-	cpu.Cycles += out.L1Refs*uint64(m.cfg.L1D.HitCycles) +
+	cpu.Cycles += out.L1Refs*uint64(l1HitCycles) +
 		out.L2HitRefs*uint64(m.cfg.L2.HitCycles) +
 		out.CleanMisses*uint64(m.cfg.MissCycles) +
 		out.RemoteMisses*uint64(m.cfg.MissCyclesRemote)
@@ -831,12 +840,24 @@ func (m *Machine) dataRef(cpu *CPU, tid mem.ThreadID, va mem.Addr, write bool) {
 // assumed to hit (the loop body is resident); this captures the code
 // component of the reload transient and code sharing between threads
 // without per-instruction cost.
+//
+// On a private direct-mapped E-cache the whole range runs as one fused
+// cachesim.FetchRange; the per-line loop below is the reference it is
+// pinned against (fetchlane_test.go) and the path for shared-L2
+// topologies.
 func (m *Machine) TouchCode(cpuID int, tid mem.ThreadID, code mem.Range) {
 	if code.Len == 0 {
 		return
 	}
 	cpu := m.cpus[cpuID]
 	lineI := uint64(m.cfg.L1I.LineSize)
+	if !m.noFastApply && cpu.Hier.FastInst() {
+		m.env.cpu, m.env.tid, m.env.hook = cpu, tid, nil
+		lines := int((code.Len + lineI - 1) / lineI)
+		out := cpu.Hier.FetchRange(&m.env, tid, code.Base, lines, m.pageShift, m.dir != nil)
+		m.chargeSweep(cpu, out, m.cfg.L1I.HitCycles)
+		return
+	}
 	for va := code.Base; va < code.End(); va += mem.Addr(lineI) {
 		m.tlbProbe(cpu, va)
 		pa := m.translate(va)

@@ -5,12 +5,13 @@
 // miss counters), scheduled by the locality framework of
 // internal/sched.
 //
-// Simulated threads are ordinary Go functions executed on goroutines,
-// but the goroutines are used strictly as coroutines: exactly one
-// simulated thread runs at a time, hand-off is a synchronous channel
-// rendezvous, and every scheduling decision is made by this engine —
-// never by the Go scheduler (the reproduction hint warns that the
-// goroutine scheduler is opaque; here it has no influence at all).
+// Simulated threads are ordinary Go functions, each run as a coroutine
+// (iter.Pull, see coro.go): exactly one simulated thread runs at a
+// time, the engine resumes it and it yields back at its next request
+// through the runtime's direct coroutine switch, and every scheduling
+// decision is made by this engine — never by the Go scheduler (the
+// reproduction hint warns that the goroutine scheduler is opaque; here
+// it has no influence at all).
 // Running any program twice produces identical cycle counts, miss
 // counts and schedules.
 //
@@ -337,19 +338,17 @@ func (e *Engine) newThread(body func(*T), opts SpawnOpts) *T {
 		code = e.defaultCode
 	}
 	t := &T{
-		id:       id,
-		name:     opts.Name,
-		eng:      e,
-		body:     body,
-		code:     code,
-		toThread: make(chan struct{}),
-		toEngine: make(chan struct{}),
-		rng:      xrand.New(e.opts.Seed ^ (0x9e1 * (uint64(id) + 1))),
-		status:   statusReady,
+		id:     id,
+		name:   opts.Name,
+		eng:    e,
+		body:   body,
+		code:   code,
+		rng:    xrand.New(e.opts.Seed ^ (0x9e1 * (uint64(id) + 1))),
+		status: statusReady,
 	}
+	t.start()
 	e.threads[id] = t
 	e.live++
-	go t.run()
 	return t
 }
 
@@ -894,7 +893,8 @@ func (e *Engine) handle(p int, t *T, req *request) {
 		e.unparkAll(e.cpus[p].Cycles())
 
 	case reqPanic:
-		// The thread goroutine is gone; record and stop the world.
+		// The thread's body is over (a Goexit leaves its coroutine
+		// parked for kill); record and stop the world.
 		e.running[p] = nil
 		t.status = statusDead
 		e.sched.Unregister(t.id)
@@ -1085,14 +1085,14 @@ func (e *Engine) describeDeadlock() error {
 	return fmt.Errorf("%w: %v", ErrDeadlock, blocked)
 }
 
-// killRemaining unwinds every live thread goroutine after Run finishes
-// (normally or on error) so the process leaks nothing.
+// killRemaining unwinds every live thread coroutine after Run finishes
+// (normally or on error) so the process leaks nothing; that includes
+// the parked coroutine of a body that called runtime.Goexit.
 func (e *Engine) killRemaining() {
 	for _, t := range e.threads {
-		if t.status == statusDead {
-			continue
+		if t.status != statusDead || t.goexited {
+			t.kill()
 		}
-		t.kill()
 		t.status = statusDead
 	}
 	e.live = 0

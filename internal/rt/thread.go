@@ -81,9 +81,6 @@ type response struct {
 	r   mem.Range
 }
 
-// killedSentinel unwinds a thread goroutine during engine teardown.
-type killedSentinel struct{}
-
 // accessBufferCap bounds the number of buffered accesses before an
 // automatic flush — one engine rendezvous per this many access
 // descriptors.
@@ -100,11 +97,15 @@ type T struct {
 	body func(*T)
 	code mem.Range
 
-	toThread chan struct{}
-	toEngine chan struct{}
-	req      request
-	resp     response
-	die      bool
+	// next, yield and stop are the thread's coroutine (see start).
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+	req   request
+	resp  response
+	// goexited marks a body that called runtime.Goexit; its coroutine
+	// stays parked mid-unwind until kill.
+	goexited bool
 
 	status status
 	cpu    int
@@ -130,64 +131,6 @@ type T struct {
 	readyClock uint64
 
 	pending mem.Batch // buffered accesses, flushed lazily
-}
-
-// run is the thread goroutine: wait for first dispatch, execute the
-// body, convert its completion (or panic) into a final request.
-func (t *T) run() {
-	<-t.toThread
-	if t.die {
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, killed := r.(killedSentinel); killed {
-				return
-			}
-			t.req = request{kind: reqPanic, err: r}
-			t.toEngine <- struct{}{}
-			return
-		}
-		// Normal completion. The final flush is itself a rendezvous, so
-		// a teardown kill can land inside it; swallow only the kill.
-		defer func() {
-			if r := recover(); r != nil {
-				if _, killed := r.(killedSentinel); !killed {
-					panic(r) // user panic: re-raise for the engine to report
-				}
-			}
-		}()
-		t.flush()
-		t.req = request{kind: reqExit}
-		t.toEngine <- struct{}{}
-	}()
-	t.body(t)
-}
-
-// call hands the prepared request to the engine and parks until
-// resumed.
-func (t *T) call() {
-	t.toEngine <- struct{}{}
-	<-t.toThread
-	if t.die {
-		// Teardown: unwind this coroutine; recovered by the body wrapper.
-		panic(killedSentinel{})
-	}
-}
-
-// resume restarts the parked thread and waits for its next request.
-// Called only by the engine.
-func (t *T) resume() *request {
-	t.toThread <- struct{}{}
-	<-t.toEngine
-	return &t.req
-}
-
-// kill unwinds a parked (or not-yet-started) thread goroutine. Called
-// only by the engine during teardown.
-func (t *T) kill() {
-	t.die = true
-	t.toThread <- struct{}{}
 }
 
 // ID returns the thread's identifier (at_self in Active Threads).

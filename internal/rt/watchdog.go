@@ -16,9 +16,9 @@ package rt
 // counter, so goldens are identical with it armed.
 //
 // Limitation, by design: a thread body stuck inside host code (an
-// infinite Go loop that never issues an engine request) freezes the
-// engine goroutine in the coroutine rendezvous, where no flag check
-// runs. Only the step-spinning class of stalls is recoverable from
+// infinite Go loop that never issues an engine request) never yields
+// back, so the engine's resume of that coroutine never returns and no
+// flag check runs. Only the step-spinning class of stalls is recoverable from
 // inside the process; the chaos harness's external kill covers the
 // rest.
 

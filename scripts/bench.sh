@@ -43,7 +43,7 @@ raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
 BENCH_NCPU="$ncpu" go test -run '^$' \
-	-bench 'BenchmarkTable|BenchmarkFig|BenchmarkAblation|BenchmarkObs|BenchmarkCheckpoint' \
+	-bench 'BenchmarkTable|BenchmarkFig|BenchmarkAblation|BenchmarkObs|BenchmarkCheckpoint|BenchmarkContextSwitch' \
 	-count=3 "$@" . | tee "$raw"
 
 awk '

@@ -274,7 +274,10 @@ trap 'rm -f "$bin"' EXIT
 go build -o "$bin" ./cmd/soak
 
 if [ $# -gt 0 ]; then
-    exec "$bin" "$@"
+    # Not exec: the EXIT trap must still run to remove the binary.
+    status=0
+    "$bin" "$@" || status=$?
+    exit "$status"
 fi
 
 echo "== soak: tasks/LFF, 4 CPUs, clean counters =="
