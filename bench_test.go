@@ -28,7 +28,10 @@ import (
 	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/rt"
+	"repro/internal/runspec"
 	"repro/internal/server"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -304,6 +307,29 @@ func benchCheckpoint(b *testing.B, every uint64) {
 
 func BenchmarkCheckpointOff(b *testing.B) { benchCheckpoint(b, 0) }
 func BenchmarkCheckpointOn(b *testing.B)  { benchCheckpoint(b, 200000) }
+
+// BenchmarkCheckpointTrace measures the atsimd boundary path: a
+// trace-level tasks/LFF cell on 4 CPUs capturing its state every
+// 20 000-cycle quantum into a callback (no disk write), with 256-event
+// rings: CPU 0 records about 1200 events, so its ring is full from the
+// first quarter of the run on. The obs digest folds events as they are
+// emitted, so a capture costs the same with full rings as with empty
+// ones.
+func BenchmarkCheckpointTrace(b *testing.B) {
+	spec := runspec.Spec{App: "tasks", Policy: "LFF", CPUs: 4, Scale: benchSched.Scale, Seed: benchSched.Seed}
+	var boundaries int
+	ckpt := rt.CheckpointConfig{Every: 20_000, OnCheckpoint: func(*snapshot.State) error {
+		boundaries++
+		return nil
+	}}
+	for i := 0; i < b.N; i++ {
+		o := obs.New(spec.CPUs, obs.Options{Level: obs.Trace, RingSize: 256})
+		if _, _, err := spec.Run(context.Background(), rt.Options{Obs: o, Checkpoint: ckpt}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(boundaries)/float64(b.N), "boundaries/op")
+}
 
 // --- Substrate microbenchmarks ----------------------------------------
 

@@ -12,9 +12,10 @@
 package annot
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -187,22 +188,30 @@ type FlatEdge struct {
 }
 
 // Export returns every edge sorted by (From, To) — a canonical listing
-// for checkpoints. Note the sort deliberately ignores insertion order;
+// for checkpoints. Note the order deliberately ignores insertion order;
 // two identical runs insert edges in the same order, so comparing
-// sorted listings of their graphs is exact.
+// sorted listings of their graphs is exact. Sources are visited in ID
+// order and each source's edges, usually inserted in ID order already,
+// are sorted only when they are not.
 func (g *Graph) Export() []FlatEdge {
+	froms := make([]mem.ThreadID, 0, len(g.out))
+	for from := range g.out {
+		froms = append(froms, from)
+	}
+	slices.Sort(froms)
 	out := make([]FlatEdge, 0, g.edges)
-	for from, edges := range g.out {
-		for _, e := range edges {
+	for _, from := range froms {
+		start, sorted := len(out), true
+		for _, e := range g.out[from] {
+			if len(out) > start && e.To < out[len(out)-1].To {
+				sorted = false
+			}
 			out = append(out, FlatEdge{From: from, To: e.To, Q: e.Q})
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+		if !sorted {
+			slices.SortFunc(out[start:], func(a, b FlatEdge) int { return cmp.Compare(a.To, b.To) })
 		}
-		return out[i].To < out[j].To
-	})
+	}
 	return out
 }
 

@@ -2,6 +2,7 @@ package annot
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -202,5 +203,49 @@ func TestExportSortedAndComplete(t *testing.T) {
 		if flat[i] != want[i] {
 			t.Fatalf("Export[%d] = %v, want %v", i, flat[i], want[i])
 		}
+	}
+}
+
+// TestExportMatchesSortedEdges: after random operations, Export equals
+// the graph's edges collected from OutEdges and sorted by (From, To).
+func TestExportMatchesSortedEdges(t *testing.T) {
+	f := func(ops []struct {
+		From, To uint8
+		Q        uint8
+		Remove   bool
+	}) bool {
+		g := New()
+		for _, op := range ops {
+			from, to := mem.ThreadID(op.From%16), mem.ThreadID(op.To%16)
+			if op.Remove {
+				g.RemoveThread(from)
+			} else {
+				g.Share(from, to, float64(op.Q)/255)
+			}
+		}
+		var want []FlatEdge
+		for from := mem.ThreadID(0); from < 16; from++ {
+			for _, e := range g.OutEdges(from) {
+				want = append(want, FlatEdge{From: from, To: e.To, Q: e.Q})
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			return want[i].From < want[j].From || want[i].From == want[j].From && want[i].To < want[j].To
+		})
+		got := g.Export()
+		if len(got) != len(want) {
+			t.Logf("Export has %d edges, want %d", len(got), len(want))
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Logf("Export[%d] = %v, want %v", i, got[i], want[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }

@@ -101,7 +101,11 @@ type Options struct {
 type Observer struct {
 	level Level
 	rings []*Ring
-	reg   *Registry
+	// sums are the per-CPU running hashes of every event Emit has
+	// appended to rings[cpu] (see foldEvent); StateDigest reads them
+	// instead of the rings.
+	sums []uint64
+	reg  *Registry
 	// stream is the optional global emission-order ring (Options.
 	// StreamSize). It is a derived tee of the per-CPU rings — the same
 	// events in the order Emit saw them — and is deliberately excluded
@@ -132,6 +136,7 @@ func New(ncpu int, opts Options) *Observer {
 			size = DefaultRingSize
 		}
 		o.rings = make([]*Ring, ncpu)
+		o.sums = make([]uint64, ncpu)
 		for i := range o.rings {
 			o.rings[i] = NewRing(size)
 		}
@@ -170,10 +175,11 @@ func (o *Observer) Registry() *Registry {
 func (o *Observer) NCPU() int { return o.reg.ncpu }
 
 // Emit appends one event to its CPU's ring (and to the global stream
-// ring when configured). Callers must guard with Tracing(); the
-// event's CPU must be in range.
+// ring when configured) and folds it into the CPU's running hash.
+// Callers must guard with Tracing(); the event's CPU must be in range.
 func (o *Observer) Emit(ev Event) {
 	o.rings[ev.CPU].Append(ev)
+	o.sums[ev.CPU] = foldEvent(o.sums[ev.CPU], ev)
 	if o.stream != nil {
 		o.stream.Append(ev)
 	}

@@ -29,6 +29,7 @@ import (
 	"sort"
 
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
 
@@ -57,6 +58,11 @@ type CheckpointConfig struct {
 	// from it). Returning an error aborts the run. It must not call
 	// back into the engine.
 	OnCheckpoint func(*snapshot.State) error
+	// OnVerified, when non-nil, is called once a resumed run has
+	// re-executed to the Resume snapshot's cursor and verified it, on
+	// the engine goroutine (atsimd times the replay with it). It must
+	// not call back into the engine.
+	OnVerified func()
 }
 
 // ckptState is the engine's internal checkpoint cursor.
@@ -70,7 +76,8 @@ type ckptState struct {
 	// nil once verified (or when not resuming). While non-nil no
 	// checkpoint is written: the boundaries being replayed were
 	// already written by the interrupted run.
-	resume *snapshot.State
+	resume     *snapshot.State
+	onVerified func()
 }
 
 // initCheckpoint validates cfg against the engine under construction
@@ -78,11 +85,12 @@ type ckptState struct {
 // (the policy name check needs it).
 func (e *Engine) initCheckpoint(cfg CheckpointConfig) error {
 	c := ckptState{
-		every:   cfg.Every,
-		path:    cfg.Path,
-		onWrite: cfg.OnCheckpoint,
-		resume:  cfg.Resume,
-		config:  append([]snapshot.KV(nil), cfg.Config...),
+		every:      cfg.Every,
+		path:       cfg.Path,
+		onWrite:    cfg.OnCheckpoint,
+		resume:     cfg.Resume,
+		onVerified: cfg.OnVerified,
+		config:     append([]snapshot.KV(nil), cfg.Config...),
 	}
 	sort.Slice(c.config, func(i, j int) bool { return c.config[i].K < c.config[j].K })
 	hasDest := c.path != "" || c.onWrite != nil
@@ -162,6 +170,10 @@ func (e *Engine) CaptureState() *snapshot.State {
 		EngineRNG:       e.rng.State(),
 		Sched:           e.sched.ExportState(),
 		ObsDigest:       e.obs.StateDigest(),
+		CPUs:            make([]snapshot.CPUState, 0, len(e.cpus)),
+		Timers:          make([]snapshot.TimerState, 0, len(e.timers)),
+		Threads:         make([]snapshot.ThreadState, 0, len(e.threads)),
+		Health:          make([]snapshot.HealthState, 0, len(e.health.cpus)),
 	}
 	for p, cpu := range e.cpus {
 		snap := cpu.ReadCounters()
@@ -201,10 +213,10 @@ func (e *Engine) CaptureState() *snapshot.State {
 		}
 		st.Threads = append(st.Threads, ts)
 	}
-	for _, edge := range e.graph.Export() {
-		st.Graph = append(st.Graph, snapshot.GraphEdge{
-			From: int64(edge.From), To: int64(edge.To), Q: edge.Q,
-		})
+	edges := e.graph.Export()
+	st.Graph = make([]snapshot.GraphEdge, len(edges))
+	for i, edge := range edges {
+		st.Graph[i] = snapshot.GraphEdge{From: int64(edge.From), To: int64(edge.To), Q: edge.Q}
 	}
 	for i := range e.health.cpus {
 		h := &e.health.cpus[i]
@@ -253,10 +265,26 @@ func (e *Engine) verifyResume() error {
 	// must still match a snapshot written with checkpointing on.
 	live.CheckpointEvery = stored.CheckpointEvery
 	live.NextCheckpoint = stored.NextCheckpoint
+	if legacyObsDigest(stored, live, e.obs) {
+		live.ObsDigest = stored.ObsDigest
+	}
 	if err := snapshot.Diff(stored, live); err != nil {
 		return fmt.Errorf("rt: resume verification failed at step %d (cycle %d): the re-executed run diverged from the snapshot — different binary, workload, flags, or a corrupted snapshot: %w",
 			e.steps, e.now, err)
 	}
 	e.ckpt.resume = nil
+	if e.ckpt.onVerified != nil {
+		e.ckpt.onVerified()
+	}
 	return nil
+}
+
+// legacyObsDigest reports whether stored carries the obs digest that
+// checkpoints held before events were folded at Emit (the retained
+// ring windows hashed at capture), and that digest equals the live
+// observer's at the cursor. Such a snapshot still proves the resumed
+// run recorded the same telemetry; the run continues with fold
+// digests. Computed only when the fold digests differ, once per resume.
+func legacyObsDigest(stored, live *snapshot.State, o *obs.Observer) bool {
+	return stored.ObsDigest != live.ObsDigest && stored.ObsDigest == o.WindowDigest()
 }

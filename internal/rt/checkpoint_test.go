@@ -329,3 +329,33 @@ func TestResumeCursorNeverReached(t *testing.T) {
 		t.Fatalf("err = %v, want step-cursor error", err)
 	}
 }
+
+// TestCaptureCarriesGraph: every capture lists the live sharing graph,
+// edge for edge in (From, To) order, and the workload's annotations
+// are live at some boundary.
+func TestCaptureCarriesGraph(t *testing.T) {
+	var e *Engine
+	var withEdges int
+	e = ckptEngine(t, Options{Checkpoint: CheckpointConfig{
+		Every: 2000,
+		OnCheckpoint: func(st *snapshot.State) error {
+			want := e.graph.Export()
+			if len(st.Graph) != len(want) {
+				t.Fatalf("capture at cycle %d has %d edges, graph %d", st.Now, len(st.Graph), len(want))
+			}
+			for i, edge := range want {
+				if g := st.Graph[i]; g.From != int64(edge.From) || g.To != int64(edge.To) || g.Q != edge.Q {
+					t.Fatalf("capture at cycle %d edge %d = %+v, graph %+v", st.Now, i, g, edge)
+				}
+			}
+			if len(want) > 0 {
+				withEdges++
+			}
+			return nil
+		},
+	}})
+	mustRun(t, e)
+	if withEdges == 0 {
+		t.Fatal("no boundary captured a non-empty graph; the workload's annotations never overlapped one")
+	}
+}

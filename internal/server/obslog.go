@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sort"
 	"sync"
 
 	"repro/internal/obs"
@@ -79,11 +80,13 @@ func (l *obsLog) publishFrom(r *obs.Ring) {
 func (l *obsLog) since(after uint64) ([]obsEntry, <-chan struct{}, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// Sequence numbers ascend through the buffer, so the tail starts at
+	// the first seq > after.
+	i := sort.Search(len(l.buf), func(i int) bool { return l.buf[i].seq > after })
 	var out []obsEntry
-	for _, e := range l.buf {
-		if e.seq > after {
-			out = append(out, e)
-		}
+	if i < len(l.buf) {
+		out = make([]obsEntry, len(l.buf)-i)
+		copy(out, l.buf[i:])
 	}
 	return out, l.notify, l.closed
 }

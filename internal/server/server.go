@@ -281,6 +281,8 @@ type metrics struct {
 	migFenced       *obs.Counter
 	migIn           *obs.Counter
 	migSeconds      *obs.Histogram
+	resumeSecs      *obs.Histogram
+	resumeCycles    *obs.Counter
 }
 
 // Server hosts sessions. Lock order: Server.mu before Session.mu.
@@ -414,6 +416,12 @@ func (s *Server) initMetrics() {
 		migIn:        s.reg.Counter("atsimd_migrations_in_total"),
 		migSeconds: s.reg.Histogram("atsimd_migration_seconds",
 			[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30}),
+		// Resume cost: the wall time a resumed engine spends
+		// re-executing to its snapshot's cursor, and the virtual
+		// cycles it re-executes.
+		resumeSecs: s.reg.Histogram("atsimd_resume_seconds",
+			[]float64{0.0001, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10}),
+		resumeCycles: s.reg.Counter("atsimd_resume_replayed_cycles_total"),
 	}
 }
 

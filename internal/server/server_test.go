@@ -707,3 +707,49 @@ func TestKillRestoreIdentity(t *testing.T) {
 		t.Errorf("killed-and-restored fingerprint %s != twin %s", got, want)
 	}
 }
+
+// TestResumeMetrics: a resume from a snapshot observes one
+// atsimd_resume_seconds sample, adds the snapshot's virtual clock to
+// atsimd_resume_replayed_cycles_total and records a resume.replay span
+// anchored at that cycle; a fresh session records none of them.
+func TestResumeMetrics(t *testing.T) {
+	s := newTestServer(t, nil)
+	ctx := context.Background()
+	fresh := mustCreate(t, s, "", testSessionConfig(31))
+	if _, err := s.Step(ctx, fresh.ID, 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.met.resumeCycles.Value(); n != 0 {
+		t.Fatalf("replayed cycles %d before any resume", n)
+	}
+	info, err := s.Evict(ctx, fresh.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Step(ctx, fresh.ID, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.met.resumeCycles.Value(); got != info.Cycle || got == 0 {
+		t.Errorf("replayed cycles %d, want the evicted cursor's %d", got, info.Cycle)
+	}
+	var buf strings.Builder
+	if err := s.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "atsimd_resume_seconds_count 1\n") {
+		t.Errorf("/metrics lacks one atsimd_resume_seconds sample:\n%s", buf.String())
+	}
+	spans, _ := s.spans.snapshot()
+	var replays int
+	for _, sp := range spans {
+		if sp.name == "resume.replay" {
+			replays++
+			if sp.sess != fresh.ID || sp.cycle != info.Cycle {
+				t.Errorf("resume.replay span for %s at cycle %d, want %s at %d", sp.sess, sp.cycle, fresh.ID, info.Cycle)
+			}
+		}
+	}
+	if replays != 1 {
+		t.Errorf("%d resume.replay spans, want 1", replays)
+	}
+}

@@ -543,6 +543,7 @@ func (le *liveEngine) run() (res *Result, completed bool, err error) {
 			StreamSize: cfg.ObsRing,
 		})
 	}
+	var replayStart time.Time
 	m, e, err := spec.Run(le.srv.baseCtx, rt.Options{
 		StallTimeout: le.srv.cfg.StallTimeout,
 		Obs:          le.obsv,
@@ -551,10 +552,12 @@ func (le *liveEngine) run() (res *Result, completed bool, err error) {
 			Config:       cfg.sessionKeys(),
 			Resume:       st,
 			OnCheckpoint: le.onBoundary,
+			OnVerified:   func() { le.noteReplayed(st, replayStart) },
 		},
 	}, func(_ *machine.Machine, e *rt.Engine) {
 		le.eng = e
 		if st != nil {
+			replayStart = time.Now()
 			sess.noteResumed(st)
 			le.srv.met.sessionsResumed.Add(le.srv.shard(sess.ID), 1)
 		}
@@ -575,6 +578,24 @@ func (le *liveEngine) run() (res *Result, completed bool, err error) {
 	default:
 		return nil, false, err
 	}
+}
+
+// noteReplayed records a verified resume: the wall time from engine
+// start to verification at the snapshot's cursor, the virtual cycles
+// re-executed to reach it, and a resume.replay span.
+func (le *liveEngine) noteReplayed(st *snapshot.State, start time.Time) {
+	d := time.Since(start)
+	shard := le.srv.shard(le.sess.ID)
+	le.srv.met.resumeSecs.Observe(shard, d.Seconds())
+	le.srv.met.resumeCycles.Add(shard, st.Now)
+	var req string
+	if le.current != nil {
+		req = le.current.req
+	}
+	le.srv.spans.add(span{
+		name: "resume.replay", sess: le.sess.ID, req: req,
+		start: start, dur: d, cycle: st.Now,
+	})
 }
 
 // onBoundary is the checkpoint-boundary gate, called by the engine at

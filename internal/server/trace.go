@@ -23,7 +23,7 @@ import (
 // span is one completed wall-clock interval.
 type span struct {
 	// name identifies the phase: admission.wait, grant.wait,
-	// engine.run, snapshot.write, evict.
+	// engine.run, resume.replay, snapshot.write, evict.
 	name string
 	// req is the X-Request-ID of the request that caused the span
 	// (empty for server-initiated work like shutdown persists).

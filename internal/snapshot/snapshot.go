@@ -225,9 +225,11 @@ type State struct {
 
 	// ModelFLOPs is the model's floating-point operation count.
 	ModelFLOPs uint64
-	// ObsDigest is a 64-bit FNV-1a digest of the observability state
-	// (metric registries and event rings), or 0 when observability is
-	// off.
+	// ObsDigest is obs.Observer.StateDigest: a 64-bit FNV-1a digest
+	// of the metric registries and, per CPU, the event count and the
+	// running hash of every event emitted there; 0 when observability
+	// is off. Trace-level snapshots written before the running hash
+	// hold Observer.WindowDigest instead, which resume also accepts.
 	ObsDigest uint64
 }
 

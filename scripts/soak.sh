@@ -103,7 +103,7 @@ if [ "${1:-}" = server ]; then
 
     echo "== soak server: metrics scrape =="
     "$work/atsimload" -server "$url" -expect \
-        "atsimd_admission_wait_seconds,atsimd_eviction_seconds,atsimd_snapshot_write_seconds,atsimd_flight_dumps_total" \
+        "atsimd_admission_wait_seconds,atsimd_eviction_seconds,atsimd_snapshot_write_seconds,atsimd_flight_dumps_total,atsimd_resume_seconds" \
         metrics
 
     echo "== soak server: SIGTERM drains cleanly =="
